@@ -162,16 +162,8 @@ impl RunMetrics {
                     tx_bytes: s.tx_bytes,
                     drops: l.drops(),
                     peak_queue_pkts: s.peak_queue_pkts,
-                    bytes_dscp_latency: s
-                        .tx_bytes_by_dscp
-                        .get(&meshlayer_netsim::DSCP_LATENCY)
-                        .copied()
-                        .unwrap_or(0),
-                    bytes_dscp_batch: s
-                        .tx_bytes_by_dscp
-                        .get(&meshlayer_netsim::DSCP_BATCH)
-                        .copied()
-                        .unwrap_or(0),
+                    bytes_dscp_latency: s.dscp_bytes(meshlayer_netsim::DSCP_LATENCY),
+                    bytes_dscp_batch: s.dscp_bytes(meshlayer_netsim::DSCP_BATCH),
                     fluid_bytes: s.fluid_bytes,
                     fluid_drop_bytes: s.fluid_drop_bytes,
                     fluid_delay_ns: s.fluid_delay_ns,

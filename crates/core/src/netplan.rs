@@ -104,14 +104,24 @@ pub struct Fabric {
     pub topology: Topology,
     /// Topology node of each pod (indexed by `PodId.0`).
     pub pod_node: Vec<NodeId>,
-    /// Reverse map: topology node → pod.
-    pub node_pod: HashMap<NodeId, PodId>,
+    /// Reverse map: topology node → pod (indexed by `NodeId.0`; `None`
+    /// for switches).
+    pub node_pod: Vec<Option<PodId>>,
     /// The star's central switch; for a spine-leaf fabric, the first
     /// spine (a representative non-pod node).
     pub switch: NodeId,
     /// Access switch of each pod (indexed by `PodId.0`): the star
     /// switch, or the pod's leaf in a spine-leaf fabric.
     pub attach: Vec<NodeId>,
+}
+
+/// Record `pod` as living at `node` in a dense node → pod table.
+fn set_pod_at(node_pod: &mut Vec<Option<PodId>>, node: NodeId, pod: PodId) {
+    let i = node.0 as usize;
+    if node_pod.len() <= i {
+        node_pod.resize(i + 1, None);
+    }
+    node_pod[i] = Some(pod);
 }
 
 impl Fabric {
@@ -158,7 +168,7 @@ impl Fabric {
         let mut topology = Topology::new();
         let switch = topology.add_node("switch");
         let mut pod_node = Vec::with_capacity(cluster.pod_count());
-        let mut node_pod = HashMap::new();
+        let mut node_pod = Vec::new();
         let mk =
             |plan: &NetworkPlan| -> Box<dyn Qdisc> { Box::new(DropTail::new(plan.queue_pkts)) };
         let mut entries = vec![HierEntry {
@@ -183,7 +193,7 @@ impl Fabric {
                 children: Vec::new(),
             });
             pod_node.push(n);
-            node_pod.insert(n, pod.id);
+            set_pod_at(&mut node_pod, n, pod.id);
         }
         let attach = vec![switch; pod_node.len()];
         topology.install_hier(entries);
@@ -224,7 +234,7 @@ impl Fabric {
         let mk =
             |plan: &NetworkPlan| -> Box<dyn Qdisc> { Box::new(DropTail::new(plan.queue_pkts)) };
         let mut pod_node = Vec::with_capacity(n_pods);
-        let mut node_pod = HashMap::new();
+        let mut node_pod = Vec::new();
         let pods: Vec<&meshlayer_cluster::Pod> = cluster.pods().collect();
         // Leaves and their hosts first, keeping subtree ids contiguous.
         let mut leaf_nodes = Vec::with_capacity(n_leaves);
@@ -254,7 +264,7 @@ impl Fabric {
                     children: Vec::new(),
                 });
                 pod_node.push(n);
-                node_pod.insert(n, pod.id);
+                set_pod_at(&mut node_pod, n, pod.id);
             }
             leaf_entry.hi = topology.node_count() as u32;
             let slot = leaf.0 as usize;
@@ -310,7 +320,7 @@ impl Fabric {
 
     /// The pod living at a topology node (None for switches).
     pub fn pod_at(&self, node: NodeId) -> Option<PodId> {
-        self.node_pod.get(&node).copied()
+        self.node_pod.get(node.0 as usize).copied().flatten()
     }
 
     /// The access switch (star switch or leaf) a pod attaches to.

@@ -399,6 +399,28 @@ impl Simulation {
         let Some(pair) = self.conns.get_mut(conn) else {
             return;
         };
+        let slot = &mut pair.timers[dir as usize];
+        if slot.queued.map(|(_, g)| g) != Some(gen) {
+            // An earlier generation, overtaken by a carrier pushed for a
+            // sooner fire time: that carrier owns the endpoint's timer.
+            return;
+        }
+        slot.queued = None;
+        if let Some((at, want, seq)) = slot.wanted.filter(|w| w.1 != gen) {
+            // Superseded while queued: carry the wanted generation to its
+            // own fire time under the sequence number it reserved.
+            slot.queued = Some((at, want));
+            self.push_ev_reserved(
+                at,
+                seq,
+                Ev::ConnTimer {
+                    conn,
+                    dir,
+                    gen: want,
+                },
+            );
+            return;
+        }
         let endpoint = if dir == 0 { &mut pair.a } else { &mut pair.b };
         let out = endpoint.on_timer(gen, now);
         self.process_conn_output(conn, dir, out, now);
@@ -435,10 +457,18 @@ impl Simulation {
             self.route_packet(pkt, src_node, now);
         }
         if let Some((at, gen)) = out.timer {
-            let pair = self.conns.get_mut(conn).expect("conn exists");
-            if gen > pair.scheduled_gen[dir as usize] {
-                pair.scheduled_gen[dir as usize] = gen;
-                self.push_ev(at, Ev::ConnTimer { conn, dir, gen });
+            let slot = self.conns.get(conn).expect("conn exists").timers[dir as usize];
+            if slot.wanted.is_none_or(|(_, g, _)| gen > g) {
+                // Reserve the place a push made now would take; push only
+                // if no carrier is queued at or before `at`.
+                let seq = self.reserve_seq();
+                let push = slot.queued.is_none_or(|(q, _)| q > at);
+                let slot = &mut self.conns.get_mut(conn).expect("conn exists").timers[dir as usize];
+                slot.wanted = Some((at, gen, seq));
+                if push {
+                    slot.queued = Some((at, gen));
+                    self.push_ev_reserved(at, seq, Ev::ConnTimer { conn, dir, gen });
+                }
             }
         }
         for d in out.delivered {

@@ -185,12 +185,22 @@ impl Simulation {
     }
 
     /// Attach a replay checker reading the capture at `path`. The log's
-    /// recorded seed and duration must match this simulation's spec;
-    /// replaying a log against the wrong configuration is refused.
+    /// format must be [`FORMAT_VERSION`], and its recorded seed and
+    /// duration must match this simulation's spec; replaying a log of
+    /// another format or against the wrong configuration is refused.
     /// Call before [`Simulation::run`].
     pub fn replay_from(&mut self, path: &Path) -> io::Result<()> {
         let checker = ReplayChecker::open(path)?;
         let meta = checker.meta();
+        if meta.format != FORMAT_VERSION {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "log has capture format {} but this build reads only format {}",
+                    meta.format, FORMAT_VERSION
+                ),
+            ));
+        }
         let seed = self.spec.config.seed;
         let duration_ns = self.spec.config.duration.as_nanos();
         if meta.seed != seed || meta.duration_ns != duration_ns {

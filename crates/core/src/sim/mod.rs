@@ -430,8 +430,26 @@ pub(crate) struct ConnPair {
     /// Transport class the pair was pooled under (0 = high, 1 = low) —
     /// policy pushes re-derive DSCP/CC for live connections from it.
     pub class: u8,
-    /// Highest timer generation already scheduled, per direction.
-    pub scheduled_gen: [u64; 2],
+    /// RTO timer bookkeeping, per direction.
+    pub timers: [TimerSlot; 2],
+}
+
+/// One endpoint's RTO timer as the engine sees it (DESIGN.md §6).
+///
+/// Every ACK re-arms the RTO, but the engine keeps at most one
+/// `ConnTimer` carrier queued per endpoint instead of one event per
+/// generation: a new generation reserves its push sequence number and
+/// is pushed only when nothing is queued at or before its fire time.
+/// When the carrier pops and a newer generation is wanted, that
+/// generation is pushed at its own time under its reserved number, so
+/// every timer that does fire pops at exactly the `(at, seq)` it would
+/// have had with one event per generation.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct TimerSlot {
+    /// Newest generation the endpoint asked for: `(fire_at, gen, seq)`.
+    pub wanted: Option<(SimTime, u64, u64)>,
+    /// The carrier event in the queue: `(fire_at, gen)`.
+    pub queued: Option<(SimTime, u64)>,
 }
 
 /// Aggregate counters the run reports (see [`crate::metrics::RunMetrics`]).
@@ -882,7 +900,7 @@ impl Simulation {
                 a: conn_a,
                 b: conn_b,
                 class,
-                scheduled_gen: [0, 0],
+                timers: [TimerSlot::default(); 2],
             })
         };
         let dir = if x == a { 0 } else { 1 };

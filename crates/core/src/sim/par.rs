@@ -188,16 +188,22 @@ impl ShardRt {
         }
     }
 
-    fn push_window(&mut self, at: SimTime, ev: Ev) {
+    /// Take the next global push sequence without queueing anything
+    /// (the sharded twin of [`EventQueue::reserve_seq`]).
+    fn reserve_seq(&mut self) -> u64 {
         let seq = self.gseq;
         self.gseq += 1;
+        seq
+    }
+
+    /// Queue `ev` into the live merge heap under global sequence `seq`.
+    fn push_window(&mut self, at: SimTime, seq: u64, ev: Ev) {
         self.pushed += 1;
         self.window.push(WinEv { at, seq, ev });
     }
 
-    fn push_lp(&mut self, at: SimTime, ev: Ev, lp: usize) {
-        let seq = self.gseq;
-        self.gseq += 1;
+    /// Queue `ev` into LP `lp`'s calendar under global sequence `seq`.
+    fn push_lp(&mut self, at: SimTime, seq: u64, ev: Ev, lp: usize) {
         self.pushed += 1;
         self.queues[lp]
             .as_mut()
@@ -274,17 +280,39 @@ impl Simulation {
         if self.shards.is_none() {
             self.queue.push(at, ev);
         } else {
-            self.push_ev_sharded(at, ev);
+            self.push_ev_sharded(at, None, ev);
         }
     }
 
+    /// Take the next push sequence number without scheduling anything
+    /// (see [`EventQueue::reserve_seq`]).
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
+        match self.shards.as_mut() {
+            None => self.queue.reserve_seq(),
+            Some(rt) => rt.reserve_seq(),
+        }
+    }
+
+    /// Schedule `ev` under a sequence number from
+    /// [`Simulation::reserve_seq`].
+    pub(crate) fn push_ev_reserved(&mut self, at: SimTime, seq: u64, ev: Ev) {
+        if self.shards.is_none() {
+            self.queue.push_reserved(at, seq, ev);
+        } else {
+            self.push_ev_sharded(at, Some(seq), ev);
+        }
+    }
+
+    /// The sharded push: under the reserved `seq`, or the next global
+    /// sequence when `None`.
     #[inline(never)]
-    fn push_ev_sharded(&mut self, at: SimTime, ev: Ev) {
+    fn push_ev_sharded(&mut self, at: SimTime, seq: Option<u64>, ev: Ev) {
         let rt = self.shards.as_mut().expect("sharded push");
+        let seq = seq.unwrap_or_else(|| rt.reserve_seq());
         if at < rt.horizon {
             // In-window push: the committer is mid-merge; the event joins
             // the live heap (affinity is irrelevant to the total order).
-            rt.push_window(at, ev);
+            rt.push_window(at, seq, ev);
             return;
         }
         let plan = &rt.plan;
@@ -325,7 +353,7 @@ impl Simulation {
             | Ev::Fault { .. }
             | Ev::FluidUpdate { .. } => plan.control_lp,
         };
-        rt.push_lp(at, ev, lp);
+        rt.push_lp(at, seq, ev, lp);
     }
 
     /// Run the sharded engine with `threads` total workers (the commit

@@ -25,8 +25,13 @@ use serde::{Deserialize, Serialize};
 /// File magic: identifies a flight-recorder log and its framing version.
 pub const MAGIC: &[u8; 8] = b"FLTREC01";
 
-/// Record-format version stamped into [`MetaInfo::format`].
-pub const FORMAT_VERSION: u32 = 1;
+/// Record-format version stamped into [`MetaInfo::format`]. Readers
+/// refuse any other version.
+///
+/// Version 2: the engine queues one RTO-timer carrier per connection
+/// endpoint, so a capture no longer holds the superseded `ConnTimer`
+/// pops that version 1 recorded.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Frame tag for [`Record::Meta`].
 pub const TAG_META: u8 = 1;

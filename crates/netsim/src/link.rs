@@ -23,7 +23,6 @@ use crate::tc::TcTable;
 use crate::topology::LinkId;
 use meshlayer_simcore::time::tx_time;
 use meshlayer_simcore::{SimDuration, SimTime};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What the driver must do next for this link.
@@ -50,8 +49,10 @@ pub struct LinkStats {
     pub tx_packets: u64,
     /// Wire bytes fully transmitted.
     pub tx_bytes: u64,
-    /// Wire bytes transmitted, per DSCP value.
-    pub tx_bytes_by_dscp: HashMap<u8, u64>,
+    /// Wire bytes transmitted, per DSCP value: a `(dscp, bytes)` table
+    /// in first-use order. A link carries a handful of DSCPs at most, so
+    /// a linear scan beats hashing on every transmission.
+    pub tx_bytes_by_dscp: Vec<(u8, u64)>,
     /// Nanoseconds the wire spent busy.
     pub busy_ns: u64,
     /// Peak queue depth observed (packets).
@@ -70,6 +71,23 @@ pub struct LinkStats {
     /// fluid reservations reduced the effective wire rate — the
     /// NetQueue delay attributable to fluid contention.
     pub fluid_delay_ns: u64,
+}
+
+impl LinkStats {
+    /// Wire bytes transmitted with DSCP `dscp`.
+    pub fn dscp_bytes(&self, dscp: u8) -> u64 {
+        self.tx_bytes_by_dscp
+            .iter()
+            .find(|e| e.0 == dscp)
+            .map_or(0, |e| e.1)
+    }
+
+    fn add_dscp_bytes(&mut self, dscp: u8, bytes: u64) {
+        match self.tx_bytes_by_dscp.iter_mut().find(|e| e.0 == dscp) {
+            Some(e) => e.1 += bytes,
+            None => self.tx_bytes_by_dscp.push((dscp, bytes)),
+        }
+    }
 }
 
 /// A unidirectional link: tail qdisc + serializing wire.
@@ -315,7 +333,7 @@ impl Link {
             .expect("on_tx_done called on idle link");
         self.stats.tx_packets += 1;
         self.stats.tx_bytes += pkt.wire_size() as u64;
-        *self.stats.tx_bytes_by_dscp.entry(pkt.dscp).or_insert(0) += pkt.wire_size() as u64;
+        self.stats.add_dscp_bytes(pkt.dscp, pkt.wire_size() as u64);
         self.stats.busy_ns += now.saturating_since(self.tx_started).as_nanos();
         (pkt, self.try_start(now))
     }
@@ -637,9 +655,6 @@ mod tests {
             _ => panic!(),
         };
         link.on_tx_done(d);
-        assert_eq!(
-            link.stats().tx_bytes_by_dscp[&crate::packet::DSCP_BATCH],
-            1000
-        );
+        assert_eq!(link.stats().dscp_bytes(crate::packet::DSCP_BATCH), 1000);
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! The queue is a hierarchical calendar (timing-wheel) keyed on
 //! `(SimTime, sequence)` where the sequence number is assigned at push
-//! time. Two events scheduled for the same instant therefore fire in push
-//! order, which makes simulation runs bit-for-bit reproducible regardless
-//! of queue internals.
+//! time (or reserved earlier with [`EventQueue::reserve_seq`]). Two
+//! events scheduled for the same instant therefore fire in push order,
+//! which makes simulation runs bit-for-bit reproducible regardless of
+//! queue internals.
 //!
 //! # Structure
 //!
@@ -140,15 +141,39 @@ impl<E> EventQueue<E> {
     /// `at` may equal `now()` (the event fires in the current instant, after
     /// events already queued for that instant) but must not precede it.
     pub fn push(&mut self, at: SimTime, payload: E) {
+        let seq = self.reserve_seq();
+        self.push_reserved(at, seq, payload);
+    }
+
+    /// Take the next push sequence number without queueing anything.
+    ///
+    /// A later [`EventQueue::push_reserved`] with this number sorts
+    /// exactly where a [`EventQueue::push`] made *now* would have: among
+    /// events for the same instant, after everything pushed before the
+    /// reservation and before everything pushed after it. Callers that
+    /// may never need the event (a timer superseded before it fires)
+    /// reserve its place and push only if it is still wanted.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Schedule `payload` at `at` under a sequence number taken earlier
+    /// from [`EventQueue::reserve_seq`].
+    ///
+    /// `(at, seq)` must sort after the `(at, seq)` of the most recently
+    /// popped event, or the total order is broken (DESIGN.md §6);
+    /// `at >= now()` is checked in debug builds.
+    pub fn push_reserved(&mut self, at: SimTime, seq: u64, payload: E) {
         debug_assert!(
             at >= self.now,
             "event scheduled in the past: {:?} < {:?}",
             at,
             self.now
         );
+        debug_assert!(seq < self.seq, "sequence {seq} was never reserved");
         let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
         self.pushed += 1;
         self.pending += 1;
         let b = bucket(at);
@@ -426,13 +451,21 @@ mod tests {
 
     /// Cross-validation: a pseudorandom push/pop workload spanning bucket
     /// boundaries, wheel wraps, and the overflow horizon must pop in
-    /// exactly the order a total `(at, seq)` sort would produce.
+    /// exactly the order a total `(at, seq)` sort would produce. Some
+    /// rounds reserve a sequence number and push under it a few rounds
+    /// later — at the current instant, within the wheel, or beyond the
+    /// overflow horizon — as connection timers do.
     #[test]
     fn matches_total_order_reference() {
         let mut q = EventQueue::new();
         let mut model: Vec<(u64, u64, u32)> = Vec::new(); // (at_ns, seq, id)
         let mut seq = 0u64;
         let mut now = 0u64;
+        // `(at, seq)` of the last pop: a reserved push must sort after it.
+        let mut last = (0u64, 0u64);
+        // Outstanding reservations: (seq, id, round to push at).
+        let mut reserved: Vec<(u64, u32, u32)> = Vec::new();
+        let (mut same_instant, mut beyond_horizon) = (0u32, 0u32);
         // xorshift64 for a deterministic but irregular schedule.
         let mut rng = 0x9E3779B97F4A7C15u64;
         let mut step = |m: u64| {
@@ -441,36 +474,18 @@ mod tests {
             rng ^= rng << 17;
             rng % m
         };
+        let horizon = BUCKET_NS * SLOTS as u64;
         let mut popped = Vec::new();
         let mut expected = Vec::new();
-        #[allow(clippy::explicit_counter_loop)] // seq mirrors the queue's push counter
-        for round in 0..5000u32 {
-            // Mix of near (same bucket), mid (within wheel), far (overflow).
-            let delta = match step(10) {
-                0..=5 => step(BUCKET_NS * 4),
-                6..=8 => step(BUCKET_NS * SLOTS as u64),
-                _ => BUCKET_NS * SLOTS as u64 + step(1 << 34),
+        let mut pop_both = |q: &mut EventQueue<u32>,
+                            model: &mut Vec<(u64, u64, u32)>,
+                            now: &mut u64,
+                            last: &mut (u64, u64)| {
+            let Some((t, id)) = q.pop() else {
+                assert!(model.is_empty());
+                return false;
             };
-            let at = now + delta;
-            q.push(SimTime::from_nanos(at), round);
-            model.push((at, seq, round));
-            seq += 1;
-            // Pop roughly as often as we push, plus bursts.
-            for _ in 0..=step(2) {
-                if let Some((t, id)) = q.pop() {
-                    now = t.as_nanos();
-                    popped.push(id);
-                    let min = model
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| (e.0, e.1))
-                        .map(|(i, _)| i)
-                        .unwrap();
-                    expected.push(model.swap_remove(min).2);
-                }
-            }
-        }
-        while let Some((_, id)) = q.pop() {
+            *now = t.as_nanos();
             popped.push(id);
             let min = model
                 .iter()
@@ -478,11 +493,82 @@ mod tests {
                 .min_by_key(|(_, e)| (e.0, e.1))
                 .map(|(i, _)| i)
                 .unwrap();
-            expected.push(model.swap_remove(min).2);
+            let e = model.swap_remove(min);
+            *last = (e.0, e.1);
+            expected.push(e.2);
+            true
+        };
+        for round in 0..5000u32 {
+            if step(4) == 0 {
+                let r = q.reserve_seq();
+                assert_eq!(r, seq, "reservations share the push counter");
+                reserved.push((r, round + 100_000, round + 1 + step(8) as u32));
+                seq += 1;
+            }
+            let mut i = 0;
+            while i < reserved.len() {
+                if reserved[i].2 > round {
+                    i += 1;
+                    continue;
+                }
+                let (r, id, _) = reserved.swap_remove(i);
+                let at = match step(3) {
+                    // Same instant, when that still sorts after the last pop.
+                    0 if (now, r) > last => {
+                        same_instant += 1;
+                        now
+                    }
+                    0 | 1 => now + 1 + step(BUCKET_NS * 8),
+                    _ => {
+                        beyond_horizon += 1;
+                        now + horizon + step(1 << 30)
+                    }
+                };
+                q.push_reserved(SimTime::from_nanos(at), r, id);
+                model.push((at, r, id));
+            }
+            // Mix of near (same bucket), mid (within wheel), far (overflow).
+            let delta = match step(10) {
+                0..=5 => step(BUCKET_NS * 4),
+                6..=8 => step(horizon),
+                _ => horizon + step(1 << 34),
+            };
+            let at = now + delta;
+            q.push(SimTime::from_nanos(at), round);
+            model.push((at, seq, round));
+            seq += 1;
+            // Pop roughly as often as we push, plus bursts.
+            for _ in 0..=step(2) {
+                pop_both(&mut q, &mut model, &mut now, &mut last);
+            }
         }
+        for (r, id, _) in reserved.drain(..) {
+            q.push_reserved(SimTime::from_nanos(now + 1), r, id);
+            model.push((now + 1, r, id));
+        }
+        while pop_both(&mut q, &mut model, &mut now, &mut last) {}
         assert!(model.is_empty());
+        assert!(same_instant > 20 && beyond_horizon > 100);
         assert_eq!(popped, expected);
         assert_eq!(q.total_pushed(), q.total_popped());
+    }
+
+    /// The connection-timer pattern: a carrier queued at `t` pops, and
+    /// the generation reserved after it is pushed at the same instant
+    /// under its reserved number — ahead of events pushed later for `t`.
+    #[test]
+    fn reserved_push_at_carrier_instant_keeps_reservation_order() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(3);
+        q.push(t, "carrier");
+        let r = q.reserve_seq();
+        q.push(t, "later");
+        assert_eq!(q.pop().unwrap().1, "carrier");
+        q.push_reserved(t, r, "reserved");
+        q.push(t, "last");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["reserved", "later", "last"]);
+        assert_eq!(q.total_pushed(), 4);
     }
 
     #[test]

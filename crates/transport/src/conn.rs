@@ -27,9 +27,9 @@
 use crate::cc::{CcAlgo, CongestionControl, MSS};
 use crate::rtt::RttEstimator;
 use meshlayer_netsim::{NodeId, Packet, PacketKind};
-use meshlayer_simcore::{SimDuration, SimTime};
+use meshlayer_simcore::{FxHashMap, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// How concurrent messages share the byte stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -129,9 +129,19 @@ struct OutMsg {
 /// An unacknowledged segment.
 #[derive(Clone, Debug)]
 struct Seg {
+    seq: u64,
     len: u32,
     msg: u64,
     msg_len: u64,
+}
+
+/// Send-side progress of one message toward "fully acknowledged".
+#[derive(Debug, Default)]
+struct MsgAcks {
+    /// Segments of the message sent but not yet acknowledged.
+    unacked: u32,
+    /// Every byte of the message has been segmented.
+    segmented: bool,
 }
 
 /// Reassembly state for one incoming message.
@@ -157,8 +167,12 @@ pub struct Conn {
     snd_nxt: u64,
     out_msgs: VecDeque<OutMsg>,
     rr_cursor: usize,
-    sent_segs: BTreeMap<u64, Seg>,
-    last_sent_at: HashMap<u64, SimTime>,
+    /// Unacknowledged segments in sequence order: new segments append
+    /// at `snd_nxt`, cumulative ACKs pop from the front.
+    sent_segs: VecDeque<Seg>,
+    /// Messages with unacknowledged segments (peer-internal ids, so
+    /// nothing outside the simulation chooses the keys).
+    msg_acks: FxHashMap<u64, MsgAcks>,
     retx_queue: VecDeque<u64>,
     dup_acks: u32,
     /// NewReno recovery point: dup-ack losses are ignored until
@@ -172,7 +186,7 @@ pub struct Conn {
     // --- receive side ---
     /// Received byte ranges `start -> end`, coalesced.
     rcv_ranges: BTreeMap<u64, u64>,
-    rcv_msgs: HashMap<u64, InMsg>,
+    rcv_msgs: FxHashMap<u64, InMsg>,
 
     stats: ConnStats,
 }
@@ -194,8 +208,8 @@ impl Conn {
             snd_nxt: 0,
             out_msgs: VecDeque::new(),
             rr_cursor: 0,
-            sent_segs: BTreeMap::new(),
-            last_sent_at: HashMap::new(),
+            sent_segs: VecDeque::new(),
+            msg_acks: FxHashMap::default(),
             retx_queue: VecDeque::new(),
             dup_acks: 0,
             recovery_until: None,
@@ -204,7 +218,7 @@ impl Conn {
             timer_gen: 0,
             pkt_ctr: 0,
             rcv_ranges: BTreeMap::new(),
-            rcv_msgs: HashMap::new(),
+            rcv_msgs: FxHashMap::default(),
             stats: ConnStats::default(),
         }
     }
@@ -303,7 +317,7 @@ impl Conn {
         }
         self.rto_at = None;
         // RTO: retransmit the earliest unacked segment, collapse the window.
-        if let Some((&seq, _)) = self.sent_segs.iter().next() {
+        if let Some(seq) = self.sent_segs.front().map(|s| s.seq) {
             self.stats.timeouts += 1;
             self.consecutive_timeouts = (self.consecutive_timeouts + 1).min(10);
             self.cc.on_timeout(now);
@@ -350,15 +364,20 @@ impl Conn {
         self.rto_at.map(|at| (at, self.timer_gen))
     }
 
-    /// Build a data packet for segment `seq` from `sent_segs`.
-    fn mk_data(&mut self, seq: u64, now: SimTime) -> Packet {
-        let seg = self.sent_segs.get(&seq).expect("segment exists").clone();
+    /// Index in `sent_segs` of the unacked segment starting at `seq`.
+    fn seg_index(&self, seq: u64) -> Option<usize> {
+        self.sent_segs.binary_search_by_key(&seq, |s| s.seq).ok()
+    }
+
+    /// Build a data packet for the unacked segment at index `idx`.
+    fn mk_data(&mut self, idx: usize, now: SimTime) -> Packet {
+        let seg = self.sent_segs[idx].clone();
         let mut p = Packet::data(
             self.next_pkt_id(),
             self.local,
             self.remote,
             self.id,
-            seq,
+            seg.seq,
             seg.len,
             self.cfg.dscp,
         );
@@ -367,7 +386,6 @@ impl Conn {
         p.ts_echo = now.as_nanos();
         p.msg = seg.msg;
         p.msg_len = seg.msg_len;
-        self.last_sent_at.insert(seq, now);
         self.stats.bytes_sent += seg.len as u64;
         p
     }
@@ -377,8 +395,8 @@ impl Conn {
         let mut packets = Vec::new();
         // Retransmissions first; they occupy already-counted window space.
         while let Some(seq) = self.retx_queue.pop_front() {
-            if self.sent_segs.contains_key(&seq) {
-                let p = self.mk_data(seq, now);
+            if let Some(idx) = self.seg_index(seq) {
+                let p = self.mk_data(idx, now);
                 packets.push(p);
             }
         }
@@ -394,17 +412,17 @@ impl Conn {
                 break;
             };
             let m = &mut self.out_msgs[msg_idx];
-            let seq = self.snd_nxt;
-            self.sent_segs.insert(
-                seq,
-                Seg {
-                    len: take as u32,
-                    msg: m.id,
-                    msg_len: m.len,
-                },
-            );
+            self.sent_segs.push_back(Seg {
+                seq: self.snd_nxt,
+                len: take as u32,
+                msg: m.id,
+                msg_len: m.len,
+            });
             m.segmented += take;
             let finished = m.segmented >= m.len;
+            let acks = self.msg_acks.entry(m.id).or_default();
+            acks.unacked += 1;
+            acks.segmented = finished;
             self.snd_nxt += take;
             if finished {
                 self.out_msgs.remove(msg_idx);
@@ -412,7 +430,7 @@ impl Conn {
                     self.rr_cursor -= 1;
                 }
             }
-            let p = self.mk_data(seq, now);
+            let p = self.mk_data(self.sent_segs.len() - 1, now);
             packets.push(p);
         }
         self.arm_timer(now);
@@ -454,25 +472,17 @@ impl Conn {
             self.stats.bytes_acked += newly;
             self.dup_acks = 0;
             self.consecutive_timeouts = 0;
-            // Count fully acked messages.
-            let acked_keys: Vec<u64> = self.sent_segs.range(..ack).map(|(&s, _)| s).collect();
-            let mut finished_msgs: Vec<u64> = Vec::new();
-            for s in acked_keys {
-                if let Some(seg) = self.sent_segs.remove(&s) {
-                    // A message is "sent" when no unacked or unsegmented
-                    // bytes of it remain; dedupe so a batch of acks for
-                    // several segments of one message counts it once.
-                    if !finished_msgs.contains(&seg.msg) {
-                        finished_msgs.push(seg.msg);
+            // A message is "sent" when no unacked or unsegmented bytes
+            // of it remain.
+            while self.sent_segs.front().is_some_and(|s| s.seq < ack) {
+                let seg = self.sent_segs.pop_front().expect("front exists");
+                let acks = self.msg_acks.get_mut(&seg.msg).expect("segment's message");
+                acks.unacked -= 1;
+                if acks.unacked == 0 {
+                    if acks.segmented {
+                        self.stats.msgs_sent += 1;
                     }
-                }
-                self.last_sent_at.remove(&s);
-            }
-            for m in finished_msgs {
-                let still_unacked = self.sent_segs.values().any(|s| s.msg == m);
-                let still_queued = self.out_msgs.iter().any(|q| q.id == m);
-                if !still_unacked && !still_queued {
-                    self.stats.msgs_sent += 1;
+                    self.msg_acks.remove(&seg.msg);
                 }
             }
             // RTT sample from the echoed timestamp.
@@ -495,7 +505,7 @@ impl Conn {
                     // the next hole — retransmit it immediately so burst
                     // losses heal one segment per (partial-)ack instead of
                     // one per RTO.
-                    if let Some((&seq, _)) = self.sent_segs.iter().next() {
+                    if let Some(seq) = self.sent_segs.front().map(|s| s.seq) {
                         if !self.retx_queue.contains(&seq) {
                             self.retx_queue.push_back(seq);
                         }
@@ -506,7 +516,7 @@ impl Conn {
             self.dup_acks += 1;
             if self.dup_acks == 3 && self.recovery_until.is_none() {
                 // Fast retransmit the earliest unacked segment.
-                if let Some((&seq, _)) = self.sent_segs.iter().next() {
+                if let Some(seq) = self.sent_segs.front().map(|s| s.seq) {
                     self.stats.fast_retx += 1;
                     self.cc.on_loss(now);
                     self.recovery_until = Some(self.snd_nxt);
@@ -577,14 +587,13 @@ impl Conn {
         let mut new_start = start;
         let mut new_end = end;
         let mut new_bytes = end - start;
-        // Find all ranges overlapping or adjacent to [start, end).
-        let overlapping: Vec<(u64, u64)> = self
-            .rcv_ranges
-            .range(..=end)
-            .filter(|(_, &e)| e >= start)
-            .map(|(&s, &e)| (s, e))
-            .collect();
-        for (s, e) in overlapping {
+        // Absorb every range overlapping or adjacent to [start, end),
+        // last first: the stored ranges are disjoint and non-adjacent, so
+        // the first one ending before `start` ends the run.
+        while let Some((&s, &e)) = self.rcv_ranges.range(..=end).next_back() {
+            if e < start {
+                break;
+            }
             // Subtract already-covered overlap from the credit.
             let ov_start = s.max(start);
             let ov_end = e.min(end);

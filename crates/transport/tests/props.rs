@@ -96,6 +96,9 @@ proptest! {
         want.sort_unstable();
         prop_assert_eq!(got, want);
         prop_assert_eq!(b.stats().msgs_delivered, msgs.len() as u64);
+        // Partial ACKs and retransmits still count each message as sent
+        // exactly once, when its last segment is acknowledged.
+        prop_assert_eq!(a.stats().msgs_sent, b.stats().msgs_delivered);
     }
 
     /// Reordering (reversing packet batches) never breaks reassembly.
@@ -133,6 +136,7 @@ proptest! {
             to_b = next_b;
         }
         prop_assert_eq!(n_delivered, lens.len());
+        prop_assert_eq!(a.stats().msgs_sent, b.stats().msgs_delivered);
     }
 
     /// cwnd never goes below one MSS for any algorithm under any event mix.

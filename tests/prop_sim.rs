@@ -6,7 +6,9 @@
 use meshlayer::apps::{ecommerce, elibrary, fanout, ElibraryParams};
 use meshlayer::cluster::{CallStep, ServiceBehavior, ServiceSpec};
 use meshlayer::core::{Classifier, FlightOutcome, Priority, SimSpec, Simulation, XLayerConfig};
-use meshlayer::flightrec::{LogReader, Record, ReplayReport};
+use meshlayer::flightrec::{
+    FlightRecorder, LogReader, MetaInfo, Record, ReplayReport, FORMAT_VERSION,
+};
 use meshlayer::simcore::{Dist, SimDuration};
 use meshlayer::workload::WorkloadSpec;
 use proptest::prelude::*;
@@ -371,6 +373,41 @@ fn sharded_replay_of_sequential_capture() {
         report.render()
     );
     assert!(report.checked > 100, "only {} events", report.checked);
+}
+
+/// A capture of another format version (here version 1, which still
+/// recorded superseded RTO-timer pops) is refused when the replay is
+/// attached, naming both versions, so no replay runs against it.
+#[test]
+fn flight_replay_refuses_other_format_version() {
+    let spec = || shorten(fanout(2, 1, 3, 2.0, 50.0));
+    let path = flight_path("format-v1.flight");
+    let s = spec();
+    let rec = FlightRecorder::create(&path).expect("create capture");
+    rec.record_meta(&MetaInfo {
+        format: 1,
+        name: "v1".to_string(),
+        seed: s.config.seed,
+        duration_ns: s.config.duration.as_nanos(),
+        warmup_ns: s.config.warmup.as_nanos(),
+        links: Vec::new(),
+    });
+    rec.record_end(0, 0);
+    rec.finish().expect("write capture");
+    assert_ne!(FORMAT_VERSION, 1);
+
+    let mut sim = Simulation::build(s);
+    let err = sim
+        .replay_from(&path)
+        .expect_err("format 1 must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let msg = err.to_string();
+    assert!(
+        msg.contains("format 1") && msg.contains(&format!("format {FORMAT_VERSION}")),
+        "error must name both versions: {msg}"
+    );
+    sim.run();
+    assert!(sim.take_flight_outcome().is_none(), "no replay may run");
 }
 
 #[test]
